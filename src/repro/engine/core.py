@@ -23,7 +23,9 @@ optional persistent result cache:
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.result import ExploreResult, ExploreSummary, summarise
@@ -169,6 +171,7 @@ def explore_sequential(
     track_parents: bool = False,
     metrics: Optional[Metrics] = None,
     progress=None,
+    keep_configs: bool = True,
 ) -> ExploreResult:
     """See :func:`_explore_sequential`.  This wrapper adds the optional
     profiling hook: when ``REPRO_PROFILE=FILE`` is set (or ``--profile``
@@ -191,14 +194,56 @@ def explore_sequential(
             return _PROFILER.runcall(
                 _explore_sequential, program, max_states, collect_edges,
                 canonicalise, check_invariants, on_config, strategy,
-                reduction, track_parents, metrics, progress,
+                reduction, track_parents, metrics, progress, keep_configs,
             )
         finally:
             _PROFILER.dump_stats(profile_to)
     return _explore_sequential(
         program, max_states, collect_edges, canonicalise, check_invariants,
         on_config, strategy, reduction, track_parents, metrics, progress,
+        keep_configs,
     )
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring the caller's state
+    on exit (also when the body raises).
+
+    An exploration accumulates a heap of immutable, acyclic semantic
+    structures (configurations, operations, view maps, keys) that can
+    never become cyclic garbage, yet CPython's generational collector
+    rescans it over and over as it grows: about a quarter of a
+    sequential wide(5,2) exploration.  Refcounting still frees
+    everything non-cyclic while the collector is off.  The pipeline
+    workers pause it for their whole lifetime for the same reason
+    (:func:`repro.engine.pipeline._worker_main`).
+
+    Re-enabling is not free by itself: every object allocated and kept
+    during the pause is still counted against the young generations,
+    so the first allocation after a plain ``enable()`` triggers one
+    collection scanning all of them (1.3 s on wide(5,2) with every
+    configuration kept).  ``freeze()`` moves every tracked object to
+    the permanent generation and resets that count; ``unfreeze()`` then
+    hands them to the oldest generation without counting them as newly
+    promoted.  Only a full collection visits them there, and one runs
+    only once enough *new* long-lived objects have accumulated, so
+    cyclic garbage among them is still reclaimed eventually.  Both
+    calls are O(1) list splices.  When the caller has frozen objects of
+    its own, the unfreeze would release them, so the survivors are left
+    to the ordinary collection instead.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        if gc.get_freeze_count() == 0:
+            gc.freeze()
+            gc.unfreeze()
+        gc.enable()
 
 
 def _explore_sequential(
@@ -213,6 +258,7 @@ def _explore_sequential(
     track_parents: bool = False,
     metrics: Optional[Metrics] = None,
     progress=None,
+    keep_configs: bool = True,
 ) -> ExploreResult:
     """Enumerate the reachable configurations of ``program`` in-process.
 
@@ -248,6 +294,17 @@ def _explore_sequential(
     ``update`` calls while the loop runs.  Both default to ``None``,
     which keeps the hot loop's telemetry cost to one boolean test per
     expanded configuration.
+
+    ``keep_configs=False`` is the summary path: the visited set keeps
+    keys only, each configuration is dropped once expanded, and the
+    result's ``configs`` holds just the terminal and stuck
+    configurations, with ``state_total`` carrying the visited count.
+    Sleep-set strategies (``"dpor"``) re-push stored configurations
+    when a rediscovery shrinks their sleep set, so they keep every
+    configuration internally either way.
+
+    The cyclic garbage collector is paused for the whole call and
+    restored on exit (:func:`_gc_paused`).
     """
     from repro.semantics.config import initial_config
     from repro.semantics.reduce import get_strategy
@@ -260,14 +317,19 @@ def _explore_sequential(
         )
     successors = strat.successors
     sleep_expand = strat.sleep_expand
+    # The visited map's values: the configurations themselves, or None
+    # on the summary path (see the docstring).
+    store = keep_configs or sleep_expand is not None
     start = time.perf_counter()
-    with _collecting(metrics):
+    with _gc_paused(), _collecting(metrics):
         init = initial_config(program)
         init = strat.normalise_initial(program, init)
         keyf = key_function(program, canonicalise)
 
         init_key = keyf(init)
-        configs: Dict[Tuple, Config] = {init_key: init}
+        configs: Dict[Tuple, Optional[Config]] = {
+            init_key: init if store else None
+        }
         parents: Optional[Dict[Tuple, Optional[Tuple]]] = (
             {init_key: None} if track_parents else None
         )
@@ -342,7 +404,7 @@ def _explore_sequential(
                     if len(configs) >= max_states:
                         truncated = True
                         continue
-                    configs[tkey] = tr.target
+                    configs[tkey] = tr.target if store else None
                     if child_sleeps is not None:
                         sleep_of[tkey] = child_sleeps[i]
                         queued.add(tkey)
@@ -367,9 +429,13 @@ def _explore_sequential(
                 # states recorded.  Counts are lower bounds from here on.
                 break
 
+        state_count = len(configs)
+        if not keep_configs:
+            configs = {keyf(c): c for c in terminals + stuck}
+
     elapsed = time.perf_counter() - start
     if metrics is not None:
-        metrics.inc("explore.states", len(configs))
+        metrics.inc("explore.states", state_count)
         metrics.inc("explore.edges", edge_count)
         metrics.add_time("explore.elapsed", elapsed)
         metrics.gauge_max("explore.frontier_peak", frontier_peak)
@@ -387,6 +453,7 @@ def _explore_sequential(
         elapsed=elapsed,
         edges=edges,
         stopped=stopped,
+        state_total=None if keep_configs else state_count,
         parents=parents,
         metrics=metrics.snapshot() if metrics is not None else None,
     )
@@ -571,9 +638,11 @@ class ExplorationEngine:
         Owicki–Gries) pass ``reduction="off"`` explicitly.
         ``analysis`` likewise overrides the engine's static-analysis
         policy for this call.
-        ``keep_configs=False`` lets the sharded backends drop per-state
-        payloads once expanded (summary-only consumers); the sequential
-        backend keys its visited set by configuration and ignores it.
+        ``keep_configs=False`` is for summary-only consumers: every
+        backend then drops per-state configurations once expanded and
+        returns only the terminal and stuck configurations in
+        ``result.configs``, with ``result.state_count`` still the
+        visited total.
         ``track_parents`` records each state's first-discovery edge in
         ``result.parents`` (see :meth:`find_witness`).  ``backend``
         overrides the engine's sharded backend for this call (used by
@@ -660,6 +729,7 @@ class ExplorationEngine:
                 track_parents=track_parents,
                 metrics=run_metrics,
                 progress=self.progress,
+                keep_configs=keep_configs,
             )
         if self.trace is not None:
             rate = (

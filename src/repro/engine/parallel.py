@@ -290,6 +290,7 @@ def explore_parallel(
             track_parents=track_parents,
             metrics=metrics,
             progress=progress,
+            keep_configs=keep_configs,
         )
     from repro.semantics.reduce import get_strategy
 

@@ -304,7 +304,9 @@ def _worker_main(
         # grows, which profiling shows costing more than a third of the
         # exploration on ≥50k-state shards.  Automatic collection is
         # disabled for the worker's (bounded, process-exit-reclaimed)
-        # lifetime; refcounting still frees everything non-cyclic.
+        # lifetime; refcounting still frees everything non-cyclic.  The
+        # sequential loop pauses it per call instead
+        # (repro.engine.core._gc_paused).
         gc.disable()
 
         keyf = key_function(program, canonicalise)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Tuple
 
 from repro.lang.expr import Value
 
@@ -43,8 +44,11 @@ class Action:
       (membership of the paper's ``Sync`` set).
 
     Actions are immutable and hashed constantly (state sets, rank
-    tables, canonical keys), so the hash is computed once and cached.
-    The cache never crosses a pickle boundary: string hashing is
+    tables, canonical keys), so the plain tuple of their field values
+    (:attr:`fields`) and its hash are computed once and cached.  The
+    canonical keys (:mod:`repro.semantics.canon`) embed that tuple
+    rather than the action itself, so keys hash and compare entirely in
+    C.  The caches never cross a pickle boundary: string hashing is
     per-process (``PYTHONHASHSEED``), and the sharded explorer ships
     configurations between processes.
     """
@@ -58,28 +62,33 @@ class Action:
     index: Optional[int] = None
     sync: bool = False
 
+    @cached_property
+    def fields(self) -> Tuple:
+        """The field values in declaration order, as one shared tuple:
+        equal tuples exactly for equal actions."""
+        return (
+            self.kind,
+            self.var,
+            self.tid,
+            self.val,
+            self.rdval,
+            self.method,
+            self.index,
+            self.sync,
+        )
+
     def __hash__(self) -> int:
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash(
-                (
-                    self.kind,
-                    self.var,
-                    self.tid,
-                    self.val,
-                    self.rdval,
-                    self.method,
-                    self.index,
-                    self.sync,
-                )
-            )
+            h = hash(self.fields)
             object.__setattr__(self, "_hash", h)
         return h
 
     def __reduce__(self):
         """Compact positional encoding with trailing defaults omitted
         and decode-side interning (:mod:`repro.memory.codec`).  The
-        cached hash is dropped across the pickle boundary as before."""
+        cached field tuple and hash are dropped across the pickle
+        boundary."""
         from repro.memory.codec import reduce_action
 
         return reduce_action(self)
@@ -87,6 +96,7 @@ class Action:
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_hash", None)
+        state.pop("fields", None)
         return state
 
     def __setstate__(self, state) -> None:

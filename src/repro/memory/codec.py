@@ -100,10 +100,7 @@ def clear_intern_tables() -> None:
 
 def reduce_action(act: Action) -> Tuple:
     """``Action`` → ``(_act, non-default field prefix)``."""
-    args = (
-        act.kind, act.var, act.tid, act.val, act.rdval, act.method,
-        act.index, act.sync,
-    )
+    args = act.fields
     n = 8
     while n > 2 and args[n - 1] == _ACTION_DEFAULTS[n - 1]:
         n -= 1

@@ -320,10 +320,7 @@ class _Encoder:
 
     # -- actions -----------------------------------------------------------
     def action_ref(self, a: Action) -> None:
-        args = (
-            a.kind, a.var, a.tid, a.val, a.rdval, a.method, a.index,
-            a.sync,
-        )
+        args = a.fields
         n = 8
         defaults = _codec._ACTION_DEFAULTS
         while n > 2 and args[n - 1] == defaults[n - 1]:

@@ -28,6 +28,21 @@ and the refinement machinery rank-encode each state at most once.
 Deterministic orderings inside the key use cheap *structural* sort keys
 (action fields and integer ranks), not ``repr`` of whole encodings.
 
+Plain-data encoding
+-------------------
+An operation is encoded as ``(action.fields, rank)``: the action's
+cached plain field tuple (:attr:`~repro.memory.actions.Action.fields`)
+plus its integer rank — never the :class:`~repro.memory.actions.Action`
+object itself.  Keys are therefore nested tuples and frozensets of
+strings, integers, booleans and ``None`` that hash and compare entirely
+in C.  CPython does not cache tuple hashes, so every visited-set lookup
+re-hashes the whole key, and an action inside it would cost a
+Python-level ``__hash__``/``__eq__`` call per operation each time.  The
+field tuple is shared by every encoding of the same action, so equality
+checks of two keys mostly hit the identity shortcut.  Equal field
+tuples mean equal actions, so the encoding identifies exactly the
+configurations that differ only in their timestamps.
+
 Soundness: an order-isomorphic per-variable relabelling is a bisimulation
 — the enabled transitions, placement choices and view updates of the
 semantics are invariant under it (the numeric value chosen by ``fresh``
@@ -49,10 +64,11 @@ from repro.semantics.config import Config
 
 
 def _enc_table(state: ComponentState) -> Dict[Op, Tuple]:
-    """``op -> (action, rank)``: each operation's canonical encoding,
-    with the rank read directly off its per-variable index position.
-    The single rank-derivation walk shared by the canonical keys and the
-    refinement projection (:mod:`repro.refinement.traces`).
+    """``op -> (action fields, rank)``: each operation's canonical
+    encoding, with the rank read directly off its per-variable index
+    position.  The single table shared by the canonical keys, the
+    client-state keys and the refinement projection
+    (:mod:`repro.refinement.traces`).
 
     A pure function of the (immutable) state, so the table is cached on
     it: component states are shared across many configurations — a step
@@ -67,7 +83,7 @@ def _enc_table(state: ComponentState) -> Dict[Op, Tuple]:
     enc: Dict[Op, Tuple] = {}
     for seq, _ts in state.index.values():
         for i, op in enumerate(seq):
-            enc[op] = (op.act, i)
+            enc[op] = (op.act.fields, i)
     object.__setattr__(state, "_enc_table", enc)
     return enc
 
@@ -75,7 +91,7 @@ def _enc_table(state: ComponentState) -> Dict[Op, Tuple]:
 def _enc_state(
     state: ComponentState, own: Dict[Op, Tuple], other: Dict[Op, Tuple]
 ) -> Tuple:
-    """Encode one component under its own ``op -> (action, rank)``
+    """Encode one component under its own ``op -> (fields, rank)``
     table plus the other component's (modification views span both).
 
     All orderings inside the encoding are *structural*: operations are

@@ -1,16 +1,26 @@
 """Tests for canonical configuration keys."""
 
+import dataclasses
 from fractions import Fraction
+
+import pytest
 
 from repro.lang import ast as A
 from repro.lang.expr import Lit
 from repro.lang.program import Program, Thread
-from repro.memory.actions import Op, mk_write
+from repro.litmus.catalog import LITMUS_TESTS
+from repro.memory.actions import Action, Op, mk_write
+from repro.refinement.traces import client_projection
 from repro.semantics.canon import canonical_key, client_state_key
 from repro.semantics.config import Config, initial_config
 from repro.semantics.explore import explore
 from repro.semantics.step import successors
-from tests.conftest import mp_relaxed, seqlock_client
+from tests.conftest import (
+    abstract_lock_client,
+    mp_relaxed,
+    seqlock_client,
+    stack_program,
+)
 
 
 def rescale_gamma(cfg: Config, scale: int, shift: int) -> Config:
@@ -107,3 +117,67 @@ class TestClientStateKey:
         terminal_keys = {client_state_key(p, t) for t in result.terminals}
         # Four distinct terminal outcomes for (r1, r2).
         assert len(terminal_keys) == 4
+
+
+def _actions_in(obj, seen=None):
+    """Every :class:`Action` reachable from ``obj`` through tuples,
+    (frozen)sets, lists and dataclass fields."""
+    if seen is None:
+        seen = set()
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Action):
+        return [obj]
+    if isinstance(obj, (tuple, list, set, frozenset)):
+        children = obj
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    else:
+        return []
+    found = []
+    for child in children:
+        found.extend(_actions_in(child, seen))
+    return found
+
+
+_KEY_PROGRAMS = [(t.name, t.build) for t in LITMUS_TESTS[:12]] + [
+    ("abstract_lock_client", abstract_lock_client),
+    ("seqlock_client", seqlock_client),
+    ("stack_program", stack_program),
+]
+
+
+class TestPlainDataKeys:
+    """Keys embed each action's plain field tuple, never the action:
+    they must hash and compare without a Python-level call."""
+
+    @pytest.mark.parametrize(
+        "build", [b for _n, b in _KEY_PROGRAMS], ids=[n for n, _b in _KEY_PROGRAMS]
+    )
+    def test_no_action_objects_in_keys(self, build):
+        p = build()
+        result = explore(p, max_states=400)
+        for cfg in result.configs.values():
+            for key in (
+                canonical_key(p, cfg),
+                client_state_key(p, cfg),
+                client_projection(p, cfg),
+            ):
+                assert _actions_in(key) == [], key
+
+    def test_guard_sees_actions(self):
+        # The walk itself reaches actions nested in tuples and sets.
+        a = mk_write("x", 1, "1")
+        assert _actions_in((1, frozenset({(a, 0)}))) == [a]
+
+    def test_operation_encoding_is_fields_plus_rank(self):
+        p = mp_relaxed()
+        cfg = successors(p, initial_config(p))[0].target
+        ops = canonical_key(p, cfg)[2][0]
+        written = {fields for fields, _rank in ops}
+        assert written == {op.act.fields for op in cfg.gamma.ops}
+        # One shared tuple per action, so key comparisons hit the
+        # identity shortcut.
+        for fields, _rank in ops:
+            assert any(fields is op.act.fields for op in cfg.gamma.ops)
